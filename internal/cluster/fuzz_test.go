@@ -1,14 +1,21 @@
 package cluster
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzProfileOps drives the profile with an op sequence decoded from
 // fuzz bytes and checks invariants after every operation, cross-checking
-// FreeAt against a brute-force reference.
+// FreeAt against a brute-force reference and the fused PlaceEarliest
+// against both the reference and EarliestFit followed by Place.
 func FuzzProfileOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1})
+	// Fits from the origin, one second past it and further on, fused
+	// and split, over earlier placements.
+	f.Add([]byte{0, 0, 48, 1, 3, 7, 40, 200, 3, 15, 59, 20, 0, 3, 10, 35, 3, 9, 30, 130, 1, 0, 0, 0, 3, 4, 5, 60})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity = 16
 		const horizon = 256
@@ -22,10 +29,13 @@ func FuzzProfileOps(f *testing.F) {
 		}
 		var stack []placed
 		for i := 0; i+3 < len(data); i += 4 {
-			op := data[i] % 3
+			op := data[i] % 4
 			nodes := int(data[i+1])%capacity + 1
 			d := Duration(data[i+2])%60 + 1
 			after := Time(data[i+3]) % (horizon / 2)
+			if op == 3 && data[i+3] >= horizon/2 {
+				after = 0 // the origin, as every search fit asks
+			}
 			switch op {
 			case 0: // place at earliest fit
 				got := p.EarliestFit(after, nodes, d)
@@ -50,6 +60,33 @@ func FuzzProfileOps(f *testing.F) {
 				if got, want := p.FreeAt(after), ref.free[after]; got != want {
 					t.Fatalf("FreeAt(%d) = %d, want %d", after, got, want)
 				}
+			case 3: // fused fit and place
+				want := ref.earliestFit(after, nodes, d)
+				if int(want)+int(d) >= horizon {
+					continue
+				}
+				before := p.Clone()
+				split := p.Clone()
+				splitAt := split.EarliestFit(after, nodes, d)
+				split.Place(splitAt, nodes, d)
+				got, pl := p.PlaceEarliest(after, nodes, d)
+				if got != want || splitAt != want {
+					t.Fatalf("PlaceEarliest(%d, %d, %d) = %d, EarliestFit = %d, want %d",
+						after, nodes, d, got, splitAt, want)
+				}
+				ref.place(got, nodes, d)
+				if free, wantFree := p.FreeAt(got), ref.free[got]; free != wantFree {
+					t.Fatalf("FreeAt(%d) after PlaceEarliest = %d, want %d", got, free, wantFree)
+				}
+				if !slices.Equal(p.steps, split.steps) {
+					t.Fatalf("PlaceEarliest left %v, EarliestFit+Place %v", p.steps, split.steps)
+				}
+				p.Undo(pl)
+				if !slices.Equal(p.steps, before.steps) {
+					t.Fatalf("Undo of PlaceEarliest left %v, want %v", p.steps, before.steps)
+				}
+				_, pl = p.PlaceEarliest(after, nodes, d)
+				stack = append(stack, placed{pl: pl, t: got, nodes: nodes, d: d})
 			}
 			if err := p.CheckInvariants(); err != nil {
 				t.Fatal(err)

@@ -100,53 +100,75 @@ func (p *Profile) find(t Time) int {
 
 // EarliestFit returns the earliest time t >= after at which nodes free
 // capacity is at least n for the full duration d. For d == 0 it returns
-// the earliest time with free capacity >= n. n must be in [1, capacity].
+// the earliest time with free capacity >= n. n must be in [1, capacity],
+// and t+d must not pass Forever.
 func (p *Profile) EarliestFit(after Time, n int, d Duration) Time {
+	t, _, _ := p.earliestFit(after, n, d)
+	return t
+}
+
+// earliestFit is EarliestFit that also returns the region it has proven
+// feasible, ready for placeAt: lo is the step covering t and hi the
+// first step with At >= t+d (len(steps) if none).
+func (p *Profile) earliestFit(after Time, n int, d Duration) (t Time, lo, hi int) {
 	if n < 1 || n > p.capacity {
 		panic(fmt.Sprintf("cluster: EarliestFit n=%d outside [1,%d]", n, p.capacity))
 	}
 	if d < 0 {
 		panic("cluster: EarliestFit negative duration")
 	}
-	if after < p.steps[0].At {
-		after = p.steps[0].At
+	steps := p.steps
+	// Fits from the origin, which is every fit the search makes (it
+	// always asks from now), start at step 0 without a binary search.
+	i := 0
+	if after > steps[0].At {
+		i = p.find(after)
+	} else {
+		after = steps[0].At
 	}
-	i := p.find(after)
-	t := after
+	t = after
 	for {
 		// Advance to the first step at/after t with enough capacity.
-		for p.steps[i].Free < n {
+		for steps[i].Free < n {
 			i++
-			if i == len(p.steps) {
+			if i == len(steps) {
 				// Free capacity only ever returns to full capacity
 				// at the end, and n <= capacity, so this cannot
 				// happen: the last step is always feasible.
 				panic("cluster: EarliestFit ran off profile end")
 			}
-			t = p.steps[i].At
-		}
-		if t < p.steps[i].At {
-			t = p.steps[i].At
+			t = steps[i].At
 		}
 		// Check [t, t+d) stays feasible.
-		end := t + d
-		j := i
-		ok := true
-		for j+1 < len(p.steps) && p.steps[j+1].At < end {
+		end := endOf(t, d)
+		j := i + 1
+		for j < len(steps) && steps[j].At < end && steps[j].Free >= n {
 			j++
-			if p.steps[j].Free < n {
-				// Infeasible at step j; restart from the next step
-				// after j with enough capacity.
-				i = j
-				t = p.steps[j].At
-				ok = false
-				break
-			}
 		}
-		if ok {
-			return t
+		if j == len(steps) || steps[j].At >= end {
+			return t, i, j
 		}
+		// Infeasible at step j; restart from the next step after j
+		// with enough capacity.
+		i = j
+		t = steps[j].At
 	}
+}
+
+// endOf returns t+d, panicking instead of wrapping when the interval
+// would run past Forever.
+func endOf(t Time, d Duration) Time {
+	if d > Forever-t {
+		panicPastForever(t, d)
+	}
+	return t + d
+}
+
+// panicPastForever is kept out of line so endOf stays inlinable.
+//
+//go:noinline
+func panicPastForever(t Time, d Duration) {
+	panic(fmt.Sprintf("cluster: interval [%d, %d+%d) runs past Forever (%d)", t, t, d, Forever))
 }
 
 // Placement is the undo record for one Place call. It is valid only
@@ -162,8 +184,9 @@ type Placement struct {
 
 // Place reserves n nodes during [t, t+d), decreasing free capacity, and
 // returns an undo record. It panics if the interval is not fully
-// feasible (callers must place only at times returned by EarliestFit) or
-// if d == 0 (an empty reservation is meaningless).
+// feasible (callers must place only at times returned by EarliestFit),
+// if d == 0 (an empty reservation is meaningless) or if t+d passes
+// Forever.
 func (p *Profile) Place(t Time, n int, d Duration) Placement {
 	if d <= 0 {
 		panic("cluster: Place with non-positive duration")
@@ -171,10 +194,21 @@ func (p *Profile) Place(t Time, n int, d Duration) Placement {
 	if n < 1 || n > p.capacity {
 		panic(fmt.Sprintf("cluster: Place n=%d outside [1,%d]", n, p.capacity))
 	}
-	end := t + d
+	end := endOf(t, d)
 	lo := p.find(t)
-	var pl Placement
-	pl.n = n
+	hi := lo + 1
+	for hi < len(p.steps) && p.steps[hi].At < end {
+		hi++
+	}
+	return p.placeAt(t, n, d, lo, hi)
+}
+
+// placeAt reserves n nodes during [t, t+d) over the region [lo, hi) of
+// steps: lo is the step covering t and hi the first step with
+// At >= t+d. The caller has validated n and d.
+func (p *Profile) placeAt(t Time, n int, d Duration, lo, hi int) Placement {
+	end := endOf(t, d)
+	pl := Placement{n: n}
 
 	// Split at t if needed so the region starts exactly at t.
 	if p.steps[lo].At < t {
@@ -182,19 +216,12 @@ func (p *Profile) Place(t Time, n int, d Duration) Placement {
 		copy(p.steps[lo+2:], p.steps[lo+1:])
 		p.steps[lo+1] = step{At: t, Free: p.steps[lo].Free}
 		lo++
+		hi++
 		pl.insLo = true
 	}
-
-	// Find the end of the region: first step with At >= end.
-	hi := lo
-	for hi < len(p.steps) && p.steps[hi].At < end {
-		hi++
-	}
 	// Split at end if needed: the step hi-1 extends past end.
-	last := hi - 1
-	extendsPast := hi == len(p.steps) || p.steps[hi].At > end
-	if extendsPast {
-		pl.origFree = p.steps[last].Free
+	if hi == len(p.steps) || p.steps[hi].At > end {
+		pl.origFree = p.steps[hi-1].Free
 		p.steps = append(p.steps, step{})
 		copy(p.steps[hi+1:], p.steps[hi:])
 		p.steps[hi] = step{At: end, Free: pl.origFree}
@@ -231,9 +258,14 @@ func (p *Profile) Undo(pl Placement) {
 
 // PlaceEarliest finds the earliest fit at or after `after` and places
 // the job there, returning the chosen start time and the undo record.
+// It is EarliestFit followed by Place in one pass: the placement reuses
+// the step region the fit has just proven feasible.
 func (p *Profile) PlaceEarliest(after Time, n int, d Duration) (Time, Placement) {
-	t := p.EarliestFit(after, n, d)
-	return t, p.Place(t, n, d)
+	if d <= 0 {
+		panic("cluster: Place with non-positive duration")
+	}
+	t, lo, hi := p.earliestFit(after, n, d)
+	return t, p.placeAt(t, n, d, lo, hi)
 }
 
 // CheckInvariants verifies structural invariants; tests call it after

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -148,6 +149,38 @@ func TestProfilePlacePanicsWhenInfeasible(t *testing.T) {
 		}
 	}()
 	p.Place(5, 1, 2)
+}
+
+// TestProfileIntervalPastForever: an interval whose end would pass
+// Forever panics instead of wrapping negative. Wrapped, EarliestFit
+// returned a start inside the full interval [200, 300) and the Place
+// after it left the steps non-monotone.
+func TestProfileIntervalPastForever(t *testing.T) {
+	p := New(10, 0)
+	p.Place(200, 10, 100)
+	huge := Duration(math.MaxInt64 - 10)
+	for name, op := range map[string]func(){
+		"EarliestFit":   func() { p.EarliestFit(50, 10, huge) },
+		"Place":         func() { p.Place(50, 10, huge) },
+		"PlaceEarliest": func() { p.PlaceEarliest(50, 10, huge) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with t+d past Forever did not panic", name)
+				}
+			}()
+			op()
+		}()
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", name, err)
+		}
+	}
+	// The longest interval that still ends by Forever fits after the
+	// full interval.
+	if got := p.EarliestFit(50, 10, Forever-400); got != 300 {
+		t.Errorf("EarliestFit(50, 10, Forever-400) = %d, want 300", got)
+	}
 }
 
 func TestProfileEarliestFitArgValidation(t *testing.T) {

@@ -26,6 +26,13 @@ const (
 	Week   Duration = 7 * Day
 )
 
+// MaxSeconds bounds a job's Submit and Request (2^36 s, about 2,177
+// years). A start is at most the latest submit plus the requests of the
+// jobs planned ahead of it, so with both bounded here start + estimate
+// stays below the availability profile's end of time (cluster.Forever,
+// 2^60) for any machine holding fewer than 2^24 jobs at once.
+const MaxSeconds = 1 << 36
+
 // BoundedSlowdownFloor lower-bounds the runtime used in the bounded
 // slowdown measure: jobs shorter than one minute are treated as
 // one-minute jobs, following Mu'alem & Feitelson and the paper (Sec. 4).
@@ -65,8 +72,12 @@ func (j Job) Validate(capacity int) error {
 		return fmt.Errorf("job %d: negative runtime %d", j.ID, j.Runtime)
 	case j.Request < j.Runtime:
 		return fmt.Errorf("job %d: request %d < runtime %d", j.ID, j.Request, j.Runtime)
+	case j.Request > MaxSeconds:
+		return fmt.Errorf("job %d: request %d > limit %d", j.ID, j.Request, MaxSeconds)
 	case j.Submit < 0:
 		return fmt.Errorf("job %d: negative submit time %d", j.ID, j.Submit)
+	case j.Submit > MaxSeconds:
+		return fmt.Errorf("job %d: submit time %d > limit %d", j.ID, j.Submit, MaxSeconds)
 	}
 	return nil
 }

@@ -1,15 +1,20 @@
 package job
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func TestValidate(t *testing.T) {
-	good := Job{ID: 1, Submit: 0, Nodes: 4, Runtime: 100, Request: 200}
-	if err := good.Validate(128); err != nil {
-		t.Errorf("valid job rejected: %v", err)
+	for _, good := range []Job{
+		{ID: 1, Submit: 0, Nodes: 4, Runtime: 100, Request: 200},
+		{ID: 1, Submit: MaxSeconds, Nodes: 4, Runtime: 100, Request: MaxSeconds},
+	} {
+		if err := good.Validate(128); err != nil {
+			t.Errorf("valid job rejected: %v", err)
+		}
 	}
 	cases := []Job{
 		{ID: 1, Nodes: 0, Runtime: 1, Request: 1},
@@ -17,6 +22,11 @@ func TestValidate(t *testing.T) {
 		{ID: 1, Nodes: 1, Runtime: -1, Request: 1},
 		{ID: 1, Nodes: 1, Runtime: 10, Request: 5},
 		{ID: 1, Submit: -1, Nodes: 1, Runtime: 1, Request: 1},
+		// Past the limit start + estimate could wrap past the
+		// profile's end of time.
+		{ID: 1, Nodes: 1, Runtime: 1, Request: MaxSeconds + 1},
+		{ID: 1, Nodes: 1, Runtime: 1, Request: math.MaxInt64 - 10},
+		{ID: 1, Submit: MaxSeconds + 1, Nodes: 1, Runtime: 1, Request: 1},
 	}
 	for _, j := range cases {
 		if err := j.Validate(128); err == nil {

@@ -6,7 +6,8 @@
 package policy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"schedsearch/internal/cluster"
 	"schedsearch/internal/job"
@@ -74,6 +75,13 @@ type Backfill struct {
 	Priority     Priority
 	Reservations int
 	name         string
+
+	// Decide's scratch, reused so that a warm decision allocates
+	// nothing. A Backfill therefore serves one Decide at a time, and the
+	// slice Decide returns is valid until its next call.
+	order  []scoredJob
+	prof   cluster.Profile
+	starts []int
 }
 
 // NewBackfill returns a backfill policy with one reservation, matching
@@ -111,11 +119,13 @@ func (b *Backfill) WithName(name string) *Backfill {
 
 // Decide implements sim.Policy.
 func (b *Backfill) Decide(snap *sim.Snapshot) []int {
-	order := PriorityOrder(snap, b.Priority)
-	prof := BuildProfile(snap)
-	var starts []int
+	b.order = sortByPriority(b.order, snap, b.Priority)
+	buildProfile(&b.prof, snap)
+	prof := &b.prof
+	starts := b.starts[:0]
 	reserved := 0
-	for _, qi := range order {
+	for _, s := range b.order {
+		qi := s.qi
 		w := snap.Queue[qi]
 		est := estimateOf(w)
 		t := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
@@ -128,6 +138,7 @@ func (b *Backfill) Decide(snap *sim.Snapshot) []int {
 			reserved++
 		}
 	}
+	b.starts = starts
 	return starts
 }
 
@@ -143,24 +154,7 @@ func estimateOf(w sim.WaitingJob) job.Duration {
 // PriorityOrder returns queue indices sorted by descending priority with
 // deterministic tiebreak (submit time, then job ID).
 func PriorityOrder(snap *sim.Snapshot, p Priority) []int {
-	type scored struct {
-		qi    int
-		score float64
-	}
-	ss := make([]scored, len(snap.Queue))
-	for i, w := range snap.Queue {
-		ss[i] = scored{qi: i, score: p.Score(w, snap.Now)}
-	}
-	sort.SliceStable(ss, func(a, c int) bool {
-		if ss[a].score != ss[c].score {
-			return ss[a].score > ss[c].score
-		}
-		ja, jc := snap.Queue[ss[a].qi].Job, snap.Queue[ss[c].qi].Job
-		if ja.Submit != jc.Submit {
-			return ja.Submit < jc.Submit
-		}
-		return ja.ID < jc.ID
-	})
+	ss := sortByPriority(nil, snap, p)
 	order := make([]int, len(ss))
 	for i, s := range ss {
 		order[i] = s.qi
@@ -168,10 +162,52 @@ func PriorityOrder(snap *sim.Snapshot, p Priority) []int {
 	return order
 }
 
+// scoredJob is a queue index with its priority and tiebreak keys.
+type scoredJob struct {
+	qi     int
+	score  float64
+	submit job.Time
+	id     int
+}
+
+// sortByPriority scores the queue into ss, reusing its storage, and
+// sorts it into PriorityOrder's order.
+func sortByPriority(ss []scoredJob, snap *sim.Snapshot, p Priority) []scoredJob {
+	ss = ss[:0]
+	for i, w := range snap.Queue {
+		ss = append(ss, scoredJob{qi: i, score: p.Score(w, snap.Now), submit: w.Job.Submit, id: w.Job.ID})
+	}
+	slices.SortStableFunc(ss, byPriority)
+	return ss
+}
+
+// byPriority orders higher scores first, then earlier submits, then
+// lower IDs.
+func byPriority(a, c scoredJob) int {
+	switch {
+	case a.score != c.score:
+		if a.score > c.score {
+			return -1
+		}
+		return 1
+	case a.submit != c.submit:
+		return cmp.Compare(a.submit, c.submit)
+	default:
+		return cmp.Compare(a.id, c.id)
+	}
+}
+
 // BuildProfile constructs the availability profile implied by the
 // snapshot: capacity minus each running job until its predicted end.
 func BuildProfile(snap *sim.Snapshot) *cluster.Profile {
-	prof := cluster.New(snap.Capacity, snap.Now)
+	prof := new(cluster.Profile)
+	buildProfile(prof, snap)
+	return prof
+}
+
+// buildProfile is BuildProfile into prof, reusing its step storage.
+func buildProfile(prof *cluster.Profile, snap *sim.Snapshot) {
+	prof.Reset(snap.Capacity, snap.Now)
 	for _, r := range snap.Running {
 		end := r.PredictedEnd
 		if end <= snap.Now {
@@ -181,5 +217,4 @@ func BuildProfile(snap *sim.Snapshot) *cluster.Profile {
 		}
 		prof.Place(snap.Now, r.Nodes, end-snap.Now)
 	}
-	return prof
 }

@@ -295,3 +295,28 @@ func TestBackfillName(t *testing.T) {
 		t.Errorf("Name = %q", got)
 	}
 }
+
+// TestBackfillDecideAllocFree: once its scratch is sized, a backfill
+// decision allocates nothing.
+func TestBackfillDecideAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	now := job.Time(10000)
+	var running []sim.RunningJob
+	for i := 0; i < 6; i++ {
+		running = append(running, sim.RunningJob{
+			ID: 1000 + i, Nodes: 1 + rng.Intn(4), Start: 0,
+			PredictedEnd: now + job.Duration(1+rng.Intn(5000)),
+		})
+	}
+	var queue []sim.WaitingJob
+	for i := 0; i < 40; i++ {
+		queue = append(queue, wjob(i+1, job.Time(rng.Intn(10000)), 1+rng.Intn(32), job.Duration(1+rng.Intn(8000))))
+	}
+	snap := snapOf(now, 32, running, queue)
+	for _, b := range []*Backfill{FCFSBackfill(), LXFBackfill(), ConservativeBackfill(SJF{})} {
+		b.Decide(snap) // size the scratch
+		if avg := testing.AllocsPerRun(20, func() { b.Decide(snap) }); avg > 0 {
+			t.Errorf("%s: Decide allocates %.1f times per decision in steady state", b.Name(), avg)
+		}
+	}
+}

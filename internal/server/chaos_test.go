@@ -36,6 +36,7 @@ func TestServerErrorPaths(t *testing.T) {
 		{"too-wide", "POST", "/v1/jobs", `{"nodes":9,"runtime_s":10}`, http.StatusBadRequest, "invalid_job"},
 		{"negative-runtime", "POST", "/v1/jobs", `{"nodes":1,"runtime_s":-5}`, http.StatusBadRequest, "invalid_job"},
 		{"negative-id", "POST", "/v1/jobs", `{"id":-3,"nodes":1,"runtime_s":10}`, http.StatusBadRequest, "invalid_job"},
+		{"huge-request", "POST", "/v1/jobs", `{"nodes":1,"runtime_s":10,"request_s":9200000000000000000}`, http.StatusBadRequest, "invalid_job"},
 		{"duplicate-id", "POST", "/v1/jobs", `{"id":7,"nodes":1,"runtime_s":10}`, http.StatusConflict, "duplicate_id"},
 		{"oversized-body", "POST", "/v1/jobs",
 			`{"nodes":1,"runtime_s":10,"pad":"` + strings.Repeat("x", maxBodyBytes+1) + `"}`,
