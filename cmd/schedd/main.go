@@ -160,7 +160,6 @@ func main() {
 		policyArg = flag.String("policy", "DDS/lxf/dynB", "scheduling policy name (see ParsePolicy)")
 		nodeLimit = flag.Int("L", 1000, "search node limit per decision")
 		workers   = flag.Int("workers", 1, "parallel search workers for search policies (0 or 1 sequential, -1 one per CPU)")
-		warm      = flag.Bool("warm", false, "warm-start the search from the previous decision's best ordering (search policies)")
 		slo       = flag.Duration("slo", 0, "per-decision latency SLO; adapts the node budget to the observed ns/node rate (0 = fixed -L)")
 		capacity  = flag.Int("capacity", workload.Capacity, "machine size in nodes")
 		addr      = flag.String("addr", ":8080", "HTTP listen address (serving mode)")
@@ -209,11 +208,10 @@ func main() {
 		}
 		if sch, ok := pol.(*core.Scheduler); ok {
 			sch.Workers = *workers
-			sch.WarmStart = *warm
 			sch.SLO = *slo
 		}
 		if mp, ok := pol.(*schedsearch.MetaScheduler); ok {
-			mp.SetSearchOptions(*workers, *warm)
+			mp.SetSearchOptions(*workers)
 		}
 		if chaosOn {
 			// The seed varies the injection cadence, so different seeds
@@ -269,7 +267,6 @@ func main() {
 			"-policy", *policyArg,
 			"-L", strconv.Itoa(*nodeLimit),
 			"-workers", strconv.Itoa(*workers),
-			fmt.Sprintf("-warm=%v", *warm),
 			"-slo", slo.String(),
 			fmt.Sprintf("-requested=%v", *requested),
 			"-speedup", strconv.FormatFloat(*speedup, 'g', -1, 64),

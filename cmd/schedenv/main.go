@@ -44,7 +44,6 @@ func main() {
 		month     = flag.String("month", "6/03", "month label (6/03 .. 3/04)")
 		nodeLimit = flag.Int("L", 1000, "search node limit for policies resolved by \"policy\" actions")
 		workers   = flag.Int("workers", 1, "parallel search workers for resolved search policies")
-		warm      = flag.Bool("warm", false, "warm-start resolved search policies")
 		load      = flag.Float64("load", 0, "target offered load (0 = original)")
 		seed      = flag.Uint64("seed", 1, "workload generation seed")
 		scale     = flag.Float64("scale", 1, "job-count/duration scale factor")
@@ -52,14 +51,14 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := serve(*month, *seed, *scale, *load, *requested, *nodeLimit, *workers, *warm); err != nil {
+	if err := serve(*month, *seed, *scale, *load, *requested, *nodeLimit, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "schedenv:", err)
 		os.Exit(1)
 	}
 }
 
-func serve(month string, seed uint64, scale, load float64, requested bool, nodeLimit, workers int, warm bool) error {
-	cfg, err := serveConfig(month, seed, scale, load, requested, nodeLimit, workers, warm)
+func serve(month string, seed uint64, scale, load float64, requested bool, nodeLimit, workers int) error {
+	cfg, err := serveConfig(month, seed, scale, load, requested, nodeLimit, workers)
 	if err != nil {
 		return err
 	}
@@ -69,7 +68,7 @@ func serve(month string, seed uint64, scale, load float64, requested bool, nodeL
 // serveConfig wires the workload suite and the policy resolver into the
 // driver config (split from serve so tests can run the protocol over
 // in-memory pipes).
-func serveConfig(month string, seed uint64, scale, load float64, requested bool, nodeLimit, workers int, warm bool) (env.ServeConfig, error) {
+func serveConfig(month string, seed uint64, scale, load float64, requested bool, nodeLimit, workers int) (env.ServeConfig, error) {
 	suite := workload.NewSuite(workload.Config{Seed: seed, JobScale: scale})
 	opts := workload.SimOptions{TargetLoad: load, UseRequested: requested}
 	// Probe once so a bad month label fails before the hello line.
@@ -89,10 +88,9 @@ func serveConfig(month string, seed uint64, scale, load float64, requested bool,
 			}
 			if sch, ok := pol.(*core.Scheduler); ok {
 				sch.Workers = workers
-				sch.WarmStart = warm
 			}
 			if mp, ok := pol.(*schedsearch.MetaScheduler); ok {
-				mp.SetSearchOptions(workers, warm)
+				mp.SetSearchOptions(workers)
 			}
 			return pol, nil
 		},

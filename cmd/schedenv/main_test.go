@@ -26,7 +26,7 @@ func TestServeStepsMonthEndToEnd(t *testing.T) {
 		scale = 0.025
 		load  = 0.95
 	)
-	cfg, err := serveConfig(month, seed, scale, load, false, 64, 1, false)
+	cfg, err := serveConfig(month, seed, scale, load, false, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestServeStepsMonthEndToEnd(t *testing.T) {
 // TestServeRejectsBadRequests: protocol errors get an error line and
 // the session survives them.
 func TestServeRejectsBadRequests(t *testing.T) {
-	cfg, err := serveConfig("7/03", 6, 0.01, 0.5, false, 64, 1, false)
+	cfg, err := serveConfig("7/03", 6, 0.01, 0.5, false, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,6 @@ func main() {
 		policyArg = flag.String("policy", "DDS/lxf/dynB", "policy name")
 		nodeLimit = flag.Int("L", 1000, "search node limit per decision")
 		workers   = flag.Int("workers", 1, "parallel search workers for search policies (0 or 1 sequential, -1 one per CPU)")
-		warm      = flag.Bool("warm", false, "warm-start the search from the previous decision's best ordering (search policies)")
-		carry     = flag.Bool("carry", false, "CDDS: carry the climbing reference ordering across decision points")
 		slo       = flag.Duration("slo", 0, "per-decision latency SLO; adapts the node budget to the observed ns/node rate (0 = fixed -L)")
 		load      = flag.Float64("load", 0, "target offered load (0 = original)")
 		seed      = flag.Uint64("seed", 1, "workload generation seed")
@@ -54,7 +52,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := searchOpts{nodeLimit: *nodeLimit, workers: *workers, warm: *warm, carry: *carry, slo: *slo, flight: *flightN}
+	opts := searchOpts{nodeLimit: *nodeLimit, workers: *workers, slo: *slo, flight: *flightN}
 	var err error
 	if *swfIn != "" {
 		err = runSWF(*swfIn, *capacity, *policyArg, opts, *requested, *verbose, *timeline, *jsonOut)
@@ -72,8 +70,6 @@ func main() {
 type searchOpts struct {
 	nodeLimit int
 	workers   int
-	warm      bool
-	carry     bool
 	slo       time.Duration
 	flight    int
 }
@@ -89,12 +85,10 @@ func parsePolicy(policyArg string, o searchOpts) (sim.Policy, *obs.FlightRecorde
 	}
 	if sch, ok := pol.(*core.Scheduler); ok {
 		sch.Workers = o.workers
-		sch.WarmStart = o.warm
 		sch.SLO = o.slo
-		sch.CarryClimb = o.carry
 	}
 	if mp, ok := pol.(*schedsearch.MetaScheduler); ok {
-		mp.SetSearchOptions(o.workers, o.warm)
+		mp.SetSearchOptions(o.workers)
 	}
 	if o.flight <= 0 {
 		return pol, nil, nil
@@ -149,8 +143,6 @@ func (p *flightPolicy) Decide(snap *sim.Snapshot) []int {
 		rec.Pruned = sum.Pruned
 		rec.NodesToBest = sum.NodesToBest
 		rec.BudgetHit = sum.BudgetHit
-		rec.WarmSeeded = sum.WarmSeeded
-		rec.SeedHeld = sum.SeedHeld
 		rec.Parallel = sum.Parallel
 		if sum.BestFound {
 			rec.BestExcess = sum.BestCost[0]
@@ -319,11 +311,6 @@ func printSummary(res *sim.Result, s metrics.Summary, pol sim.Policy) {
 			st.Decisions, st.Nodes, st.Leaves, st.BudgetHits)
 		fmt.Printf("  search time: %.1f ms wall, speedup %.2fx\n",
 			float64(st.WallNs)/1e6, st.Speedup())
-		if sch.WarmStart && st.Decisions > 0 {
-			fmt.Printf("  warm start: %d seeded decisions, seed held %d, avg nodes-to-best %.1f\n",
-				st.WarmDecisions, st.WarmSeedHeld,
-				float64(st.NodesToBest)/float64(st.Decisions))
-		}
 		if sch.SLO > 0 && st.Decisions > 0 {
 			fmt.Printf("  slo %v: avg effective L %.0f\n",
 				sch.SLO, float64(st.EffectiveLimitSum)/float64(st.Decisions))

@@ -83,13 +83,6 @@ type report struct {
 	Heuristic string        `json:"heuristic"`
 	Bound     string        `json:"bound"`
 	Results   []benchResult `json:"results"`
-	// Warm is the cold-vs-warm comparison over closed-loop month
-	// replays; the bench aborts if warm start ever commits a schedule
-	// differing from cold at equal effective budget.
-	Warm []warmResult `json:"warm,omitempty"`
-	// CDDSCarry compares CDDS climbing from a restart vs. the carried
-	// reference across month replays.
-	CDDSCarry []carryResult `json:"cdds_carry,omitempty"`
 	// MetaBench compares fixed policies against the adaptive portfolio
 	// (the -meta sweep).
 	MetaBench *metaBenchResult `json:"meta,omitempty"`
@@ -104,11 +97,9 @@ func main() {
 		minTime = flag.Duration("time", 200*time.Millisecond, "minimum measurement time per configuration")
 		workers = flag.Int("workers", core.AutoWorkers, "parallel worker count (-1 one per CPU)")
 
-		warmAlgos = flag.String("warmalgos", "DDS,CDDS", "algorithms for the cold-vs-warm month replays (empty = skip)")
-		warmLimit = flag.Int("warmlimit", 1000, "node budget L for the cold-vs-warm replays")
-		metaMode  = flag.Bool("meta", false, "also sweep the policy-portfolio meta-scheduler against its fixed members (adds the \"meta\" and \"cdds_carry\" report sections)")
+		metaMode  = flag.Bool("meta", false, "also sweep the policy-portfolio meta-scheduler against its fixed members (adds the \"meta\" report section)")
 		metaSpecs = flag.String("metaspecs", "DDS/lxf/dynB,LDS/fcfs/dynB", "portfolio member policies for the -meta sweep")
-		metaLimit = flag.Int("metalimit", 300, "node budget L for the -meta sweep and the cdds_carry replays")
+		metaLimit = flag.Int("metalimit", 300, "node budget L for the -meta sweep")
 		fedMode   = flag.Bool("federation", false, "benchmark the sharded federation instead of the search hot path")
 		shards    = flag.String("shards", "1,2,4", "shard counts to measure in -federation mode")
 		fedJobs   = flag.Int("fedjobs", 400, "synthetic jobs per federation replay")
@@ -203,17 +194,8 @@ func main() {
 		}
 	}
 
-	if *warmAlgos != "" {
-		was, err := parseAlgos(*warmAlgos)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Warm = runWarmBench(was, schedsearch.MonthLabels(), *warmLimit)
-	}
-
 	if *metaMode {
 		specs := strings.Split(*metaSpecs, ",")
-		rep.CDDSCarry = runCarryBench(schedsearch.MonthLabels(), *metaLimit)
 		meta := runMetaBench(specs, schedsearch.MonthLabels(), *metaLimit)
 		rep.MetaBench = &meta
 	}

@@ -42,7 +42,6 @@ type metaBenchResult struct {
 	Months      []string `json:"months"`
 	NodeLimit   int      `json:"node_limit"`
 	ShadowLimit int      `json:"shadow_limit"`
-	Bandit      string   `json:"bandit"`
 
 	Fixed     []metaPolicyRow `json:"fixed"`
 	Portfolio metaPolicyRow   `json:"portfolio"`
@@ -77,12 +76,11 @@ func (r *metaPolicyRow) addMonth(sum schedsearch.Summary) {
 func runMetaBench(specs []string, months []string, limit int) metaBenchResult {
 	suite := schedsearch.NewSuite(schedsearch.SuiteConfig{Seed: 6, JobScale: 0.05})
 	opts := schedsearch.SimOptions{TargetLoad: 0.95}
-	cfg := schedsearch.MetaConfig{Seed: 1}
+	cfg := schedsearch.MetaConfig{}
 	res := metaBenchResult{
 		Months:      months,
 		NodeLimit:   limit,
 		ShadowLimit: cfg.EffectiveShadowLimit(),
-		Bandit:      cfg.Kind.String(),
 	}
 
 	run := func(mkPolicy func() (sim.Policy, error), row *metaPolicyRow, collect func(sim.Policy)) {
@@ -149,73 +147,4 @@ func runMetaBench(specs []string, months []string, limit int) metaBenchResult {
 		portfolioSpec, res.Portfolio.WeightedCost, res.PortfolioVsBestFixed,
 		res.BestFixed, res.Switches, res.ShadowOverheadPct)
 	return res
-}
-
-// carryResult is one month of the CDDS carried-climbing-reference
-// comparison: carry on vs off are different (both valid) schedules, so
-// the rows report search effort and realized cost side by side rather
-// than asserting equality.
-type carryResult struct {
-	Month     string `json:"month"`
-	NodeLimit int    `json:"node_limit"`
-	Decisions int    `json:"decisions"`
-	// CarryDecisions counts decisions whose climb seeded from the
-	// previous decision's best ordering instead of the heuristic.
-	CarryDecisions int `json:"carry_decisions"`
-	// NodesToBest sums, per variant, the nodes spent before the final
-	// incumbent was found; the ratio is restart/carry.
-	RestartNodesToBest int64   `json:"restart_nodes_to_best"`
-	CarryNodesToBest   int64   `json:"carry_nodes_to_best"`
-	NodesToBestRatio   float64 `json:"nodes_to_best_ratio"`
-	// Realized weighted cost per variant (same scalarization as the
-	// meta section), showing the carried reference does not degrade the
-	// committed schedules.
-	RestartWeightedCost float64 `json:"restart_weighted_cost"`
-	CarryWeightedCost   float64 `json:"carry_weighted_cost"`
-}
-
-// runCarryBench replays each month with CDDS climbing from a restart
-// vs. from the carried reference.
-func runCarryBench(months []string, limit int) []carryResult {
-	suite := schedsearch.NewSuite(schedsearch.SuiteConfig{Seed: 6, JobScale: 0.05})
-	opts := schedsearch.SimOptions{TargetLoad: 0.95}
-	var out []carryResult
-	for _, month := range months {
-		var stats [2]core.Stats
-		var cost [2]float64
-		for i, carry := range []bool{false, true} {
-			sch := core.New(core.CDDS, core.HeuristicLXF, core.DynamicBound(), limit)
-			sch.WarmStart = true
-			sch.CarryClimb = carry
-			sum, _, err := schedsearch.RunMonth(suite, month, opts, sch)
-			if err != nil {
-				fatal(fmt.Errorf("cdds carry %s: %w", month, err))
-			}
-			stats[i] = sch.SearchStats
-			cost[i] = core.DefaultExcessWeight*sum.AvgWaitH*3600*float64(sum.Jobs) +
-				sum.AvgBoundedSlowdown*float64(sum.Jobs)
-		}
-		r := carryResult{
-			Month:               month,
-			NodeLimit:           limit,
-			Decisions:           stats[1].Decisions,
-			CarryDecisions:      stats[1].CarryDecisions,
-			RestartNodesToBest:  stats[0].NodesToBest,
-			CarryNodesToBest:    stats[1].NodesToBest,
-			RestartWeightedCost: cost[0],
-			CarryWeightedCost:   cost[1],
-		}
-		if r.CarryNodesToBest > 0 {
-			r.NodesToBestRatio = float64(r.RestartNodesToBest) / float64(r.CarryNodesToBest)
-		} else if r.RestartNodesToBest > 0 {
-			r.NodesToBestRatio = float64(r.RestartNodesToBest)
-		} else {
-			r.NodesToBestRatio = 1
-		}
-		fmt.Fprintf(os.Stderr, "cdds carry %s L=%d: nodes-to-best %d restart vs %d carry (%.2fx), %d/%d carried\n",
-			month, limit, r.RestartNodesToBest, r.CarryNodesToBest, r.NodesToBestRatio,
-			r.CarryDecisions, r.Decisions)
-		out = append(out, r)
-	}
-	return out
 }

@@ -91,3 +91,24 @@ func TestParallelSearchSuiteDifferential(t *testing.T) {
 		t.Error("no budget cutoffs exercised across the whole suite; the shard's cutoff path went untested")
 	}
 }
+
+// TestParallelNodesToBestSuiteDifferential pins the parallel merge's
+// incumbent replay on closed-loop months: beyond the commits, the
+// parallel scheduler's NodesToBest must equal the sequential one's (the
+// merge replays the sequential improvement order exactly).
+func TestParallelNodesToBestSuiteDifferential(t *testing.T) {
+	suite := schedsearch.NewSuite(schedsearch.SuiteConfig{Seed: 6, JobScale: 0.025})
+	for _, month := range []string{"7/03", "1/04"} {
+		seq := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 24)
+		par := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 24)
+		par.Workers = 4
+		m := &mirrorPolicy{t: t, seq: seq, par: par}
+		if _, _, err := schedsearch.RunMonth(suite, month, schedsearch.SimOptions{TargetLoad: 0.95}, m); err != nil {
+			t.Fatalf("%s: %v", month, err)
+		}
+		if seq.SearchStats.NodesToBest != par.SearchStats.NodesToBest {
+			t.Fatalf("%s: nodes-to-best %d parallel, %d sequential",
+				month, par.SearchStats.NodesToBest, seq.SearchStats.NodesToBest)
+		}
+	}
+}

@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"schedsearch/internal/cluster"
 )
 
 // branchRanks returns, per level, the rank of the chosen job among the
@@ -159,14 +157,12 @@ func TestCDDSLocalOptimum(t *testing.T) {
 		best := append([]int(nil), sch.s.bestPath...)
 		bestCost := sch.s.bestCost
 
-		var es searchState
-		es.reset(snap, HeuristicLXF, sch.Bound.At(snap), HierarchicalCost, 1)
-		var undo []cluster.Placement
+		ev := newOrderEvaluator(snap, sch.s.ordered, HierarchicalCost, sch.Bound.At(snap))
 		perm := make([]int, n)
 		for l := 0; l < n-1; l++ {
 			copy(perm, best)
 			perm[l], perm[l+1] = perm[l+1], perm[l]
-			if c := es.evalOrder(perm, &undo); c.Less(bestCost) {
+			if c, _ := ev.run(perm); c.Less(bestCost) {
 				t.Errorf("trial %d: swap at level %d improves the CDDS optimum (%v < %v)",
 					trial, l, c, bestCost)
 			}

@@ -49,17 +49,16 @@ type iterTask struct {
 // iterResult is one iteration's outcome, merged deterministically.
 type iterResult struct {
 	run      bool
-	found    bool
-	cost     Cost
 	startNow []bool
 	start    []job.Time
 	path     []int
 	nodes    int64
 	leaves   int64
 	// improv logs the iteration-local incumbent improvements (cost and
-	// local node counter); the merge threads the global incumbent —
-	// warm seed included — through these logs in ascending iteration
-	// order, reproducing the sequential nodesToBest exactly.
+	// local node counter), ending at the iteration's best schedule; the
+	// merge threads the global incumbent through these logs in ascending
+	// iteration order, reproducing the sequential search's incumbent and
+	// nodesToBest.
 	improv []improvement
 }
 
@@ -282,12 +281,13 @@ func (sch *Scheduler) runParallel(snap *sim.Snapshot, workers int) bool {
 
 	// Deterministic merge: ascending iteration order, strict
 	// improvement only — ties keep the lowest iteration, matching the
-	// sequential scan. The nodes-to-best incumbent (seeded by seedWarm
-	// on warm decisions) is threaded through the per-iteration
-	// improvement logs the same way: an improvement counts only if it
-	// beats everything from earlier iterations and the seed, and its
-	// node position is the sum of the preceding iterations' spend plus
-	// its local counter — exactly the sequential node counter.
+	// sequential scan. The incumbent is threaded through the
+	// per-iteration improvement logs: an improvement counts only if it
+	// beats the incumbent, and its node position is the sum of the
+	// preceding iterations' spend plus its local counter — exactly the
+	// sequential node counter. Once one improvement of an iteration is
+	// accepted, each later one beats its predecessor, so the incumbent
+	// ends at that iteration's best schedule.
 	s.nodes, s.leaves = 0, 0
 	s.bestFound = false
 	s.aborted = aborted
@@ -296,11 +296,13 @@ func (sch *Scheduler) runParallel(snap *sim.Snapshot, workers int) bool {
 		if !r.run {
 			continue
 		}
+		improved := false
 		for _, im := range r.improv {
-			if !s.ntbSet || im.cost.Less(s.ntbCost) {
-				s.ntbCost = im.cost
-				s.ntbSet = true
+			if !s.bestFound || im.cost.Less(s.bestCost) {
+				s.bestFound = true
+				s.bestCost = im.cost
 				s.nodesToBest = s.nodes + im.nodes
+				improved = true
 				if s.recordImprov {
 					// Thread the accepted improvement into the master's log
 					// with its global node position, so the trajectory
@@ -309,18 +311,13 @@ func (sch *Scheduler) runParallel(snap *sim.Snapshot, workers int) bool {
 				}
 			}
 		}
-		s.nodes += r.nodes
-		s.leaves += r.leaves
-		if !r.found {
-			continue
-		}
-		if !s.bestFound || r.cost.Less(s.bestCost) {
-			s.bestFound = true
-			s.bestCost = r.cost
+		if improved {
 			copy(s.bestStartNow, r.startNow)
 			copy(s.bestStart, r.start)
 			s.bestPath = append(s.bestPath[:0], r.path...)
 		}
+		s.nodes += r.nodes
+		s.leaves += r.leaves
 	}
 	for _, b := range busy {
 		sch.SearchStats.BusyNs += b
@@ -345,9 +342,7 @@ func (ws *searchState) runIteration(algo Algorithm, t iterTask, r *iterResult) {
 	// when the budget trips.
 	ws.hardBudget = t.iter > 0
 	// Log iteration-local incumbent improvements for the merge's
-	// nodes-to-best replay.
-	ws.ntbSet = false
-	ws.nodesToBest = 0
+	// incumbent replay.
 	ws.recordImprov = true
 	ws.improv = ws.improv[:0]
 
@@ -365,10 +360,8 @@ func (ws *searchState) runIteration(algo Algorithm, t iterTask, r *iterResult) {
 	r.run = true
 	r.nodes = ws.nodes
 	r.leaves = ws.leaves
-	r.found = ws.bestFound
 	r.improv = append(r.improv[:0], ws.improv...)
 	if ws.bestFound {
-		r.cost = ws.bestCost
 		r.startNow = append(r.startNow[:0], ws.bestStartNow...)
 		r.start = append(r.start[:0], ws.bestStart...)
 		r.path = append(r.path[:0], ws.bestPath...)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"schedsearch/internal/job"
@@ -325,6 +326,88 @@ func TestShardBudgetAccounting(t *testing.T) {
 			if aborted != s.aborted {
 				t.Errorf("trial %d %s n=%d L=%d: shard aborted=%v, sequential %v",
 					trial, algo, n, limit, aborted, s.aborted)
+			}
+		}
+	}
+}
+
+// evolvingQueue mutates a queue the way decision points see it: some
+// jobs leave (started or completed), new jobs arrive with fresh IDs.
+type evolvingQueue struct {
+	rng    *rand.Rand
+	nextID int
+	jobs   []sim.WaitingJob
+	now    job.Time
+}
+
+func (q *evolvingQueue) step(capacity int) *sim.Snapshot {
+	q.now += job.Time(1 + q.rng.Intn(600))
+	// Departures.
+	kept := q.jobs[:0]
+	for _, w := range q.jobs {
+		if q.rng.Float64() < 0.35 {
+			continue
+		}
+		kept = append(kept, w)
+	}
+	q.jobs = kept
+	// Arrivals.
+	for len(q.jobs) < 2 || q.rng.Float64() < 0.5 {
+		if len(q.jobs) >= 7 {
+			break
+		}
+		est := job.Duration(60 + q.rng.Intn(7200))
+		q.jobs = append(q.jobs, sim.WaitingJob{
+			Job: job.Job{
+				ID:      q.nextID,
+				Submit:  q.now - job.Time(q.rng.Intn(3000)),
+				Nodes:   1 + q.rng.Intn(capacity),
+				Runtime: est, Request: est,
+			},
+			Estimate: est,
+		})
+		q.nextID++
+	}
+	snap := &sim.Snapshot{Now: q.now, Capacity: capacity, FreeNodes: capacity}
+	used := 0
+	if q.rng.Float64() < 0.5 {
+		used = q.rng.Intn(capacity)
+		if used > 0 {
+			snap.Running = append(snap.Running, sim.RunningJob{
+				ID: 1_000_000, Nodes: used, Start: 0,
+				PredictedEnd: q.now + job.Duration(1+q.rng.Intn(3600)),
+			})
+		}
+	}
+	snap.FreeNodes = capacity - used
+	for i := range q.jobs {
+		q.jobs[i].QueuePos = i
+		snap.Queue = append(snap.Queue, q.jobs[i])
+	}
+	return snap
+}
+
+// TestParallelNodesToBestMatchesSequential: over evolving decision
+// sequences the parallel merge must reproduce the sequential incumbent
+// history, not only the commit — identical NodesToBest and cost
+// trajectory at every decision, since the merge replays the sequential
+// improvement order.
+func TestParallelNodesToBestMatchesSequential(t *testing.T) {
+	for _, algo := range []Algorithm{DDS, LDS, ADDS} {
+		rng := rand.New(rand.NewSource(67))
+		seq := New(algo, HeuristicLXF, DynamicBound(), 150)
+		par := New(algo, HeuristicLXF, DynamicBound(), 150)
+		par.Workers = 4
+		q := &evolvingQueue{rng: rng, nextID: 1}
+		for step := 0; step < 25; step++ {
+			snap := q.step(16)
+			assertSameDecision(t, par.Name(), snap, seq, par)
+			if seq.SearchStats.NodesToBest != par.SearchStats.NodesToBest {
+				t.Fatalf("%s step %d: nodes-to-best %d parallel, %d sequential",
+					par.Name(), step, par.SearchStats.NodesToBest, seq.SearchStats.NodesToBest)
+			}
+			if st, pt := seq.LastDecision().Trajectory, par.LastDecision().Trajectory; !reflect.DeepEqual(st, pt) {
+				t.Fatalf("%s step %d: trajectory %v parallel, %v sequential", par.Name(), step, pt, st)
 			}
 		}
 	}

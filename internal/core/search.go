@@ -111,22 +111,10 @@ type Stats struct {
 	// BusyNs/WallNs is the effective parallelism (see Speedup).
 	BusyNs int64
 	// NodesToBest sums, over decisions, the node count at which the
-	// search last improved its incumbent (the warm seed counts as the
-	// initial incumbent when WarmStart is on, at zero nodes). Lower
-	// means the best schedule was in hand earlier; NodesToBest/Decisions
-	// is the average search effort actually needed per decision.
+	// search last improved its incumbent. Lower means the best schedule
+	// was in hand earlier; NodesToBest/Decisions is the average search
+	// effort actually needed per decision.
 	NodesToBest int64
-	// WarmDecisions counts decisions seeded from a carried ordering;
-	// WarmSeedNodes counts the job placements spent evaluating those
-	// seeds (charged separately from Nodes — the seed is not part of the
-	// enumerated tree); WarmSeedHeld counts warm decisions where no
-	// enumerated schedule beat the seed's cost.
-	WarmDecisions int
-	WarmSeedNodes int64
-	WarmSeedHeld  int
-	// CarryDecisions counts decisions where CDDS started from a carried
-	// climbing reference instead of the heuristic order (CarryClimb).
-	CarryDecisions int
 	// EffectiveLimit is the node budget applied at the most recent
 	// decision and EffectiveLimitSum its total across decisions
 	// (EffectiveLimitSum/Decisions is the average effective L). Both
@@ -179,31 +167,6 @@ type Scheduler struct {
 	// additive. Custom Cost functions returning negative components
 	// must leave this off. Off by default (paper-faithful search).
 	Prune bool
-	// WarmStart makes Decide incremental: the previous decision's best
-	// ordering is carried across decision points (departed jobs
-	// dropped, arrivals spliced in at their heuristic rank), evaluated
-	// once against the new profile, and installed as the initial
-	// incumbent. The seed never enters the enumeration and is never
-	// committable, so warm-started search commits bit-identical
-	// schedules to cold search at equal budget; what it buys is
-	// NodesToBest (the seed usually already is the best reachable
-	// schedule, so the effort needed to re-find it drops to ~zero) and,
-	// with Prune on, a bound that is tight from the first enumerated
-	// leaf onward.
-	WarmStart bool
-	// CarryClimb makes CDDS carry its climbing reference across
-	// decision points: instead of restarting each decision's sweep from
-	// the heuristic order, the previous decision's final climb target
-	// (departed jobs dropped, arrivals spliced at their heuristic rank)
-	// becomes the new reference ordering. Unlike WarmStart this is NOT
-	// inert — the reference determines which orderings the budget
-	// reaches, so committed schedules legitimately differ from the
-	// restart variant (commits remain valid: still the argmin over
-	// enumerated, profile-verified leaves; the carry differential pins
-	// this). Ignored by every algorithm except CDDS, and not encoded in
-	// Name (like Workers/WarmStart, it tunes how the named policy
-	// searches, not what it optimizes).
-	CarryClimb bool
 	// SLO, when positive, makes the node budget adaptive: an
 	// exponentially weighted average of the observed ns/node converts
 	// the per-decision latency target into an effective NodeLimit for
@@ -221,7 +184,6 @@ type Scheduler struct {
 	lastDecision DecisionSummary
 	startsBuf    []int
 	s            searchState // reusable scratch (sequential search + merge target)
-	warm         warmState   // WarmStart carry + scratch
 	nsPerNode    float64     // EWMA of observed search pace (SLO budget)
 
 	// Parallel-search scratch, reused across decisions.
@@ -283,18 +245,19 @@ func (sch *Scheduler) observePace(wallNs, nodes int64) {
 	sch.nsPerNode += 0.2 * (obs - sch.nsPerNode)
 }
 
-// Decide implements sim.Policy. The returned slice is reused by the
-// next Decide.
+// Decide implements sim.Policy. Every decision runs a fresh search over
+// its snapshot; besides reusable scratch, only the SLO pace estimate
+// survives from one decision point to the next. The returned slice is
+// reused by the next Decide.
 func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	n := len(snap.Queue)
 	if n == 0 {
 		// Nothing to schedule — and nothing from the previous decision
 		// is still planned, so LastPlan/LastCost must not report stale
-		// data and the warm carry has no survivors.
+		// data.
 		sch.lastPlan = sch.lastPlan[:0]
 		sch.s.bestCost = Cost{}
 		sch.s.bestFound = false
-		sch.warm.valid = false
 		sch.lastDecision = DecisionSummary{Trajectory: sch.lastDecision.Trajectory[:0]}
 		return nil
 	}
@@ -310,13 +273,6 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	s := &sch.s
 	s.reset(snap, sch.Heuristic, sch.Bound.At(snap), cost, limit)
 	s.prune = sch.Prune
-	if sch.WarmStart {
-		sch.seedWarm(s)
-	}
-	carry := sch.CarryClimb && sch.Algorithm == CDDS
-	if carry {
-		sch.seedClimbRef(s)
-	}
 	// The incumbent-improvement log feeds LastDecision's cost
 	// trajectory (flight recorder). Recording is strictly passive: leaf
 	// and the parallel merge append to a reused slice exactly at the
@@ -362,9 +318,6 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	} else {
 		sch.SearchStats.Exhausted++
 	}
-	if sch.WarmStart || carry {
-		sch.carryBest(s)
-	}
 
 	traj := sch.lastDecision.Trajectory[:0]
 	for _, im := range s.improv {
@@ -378,8 +331,6 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 		Pruned:         s.pruned,
 		NodesToBest:    s.nodesToBest,
 		BudgetHit:      s.aborted,
-		WarmSeeded:     s.seedSet,
-		SeedHeld:       s.seedSet && s.bestFound && !s.bestCost.Less(s.seedCost),
 		Parallel:       parallel,
 		BestFound:      s.bestFound,
 		BestCost:       s.bestCost,
@@ -442,8 +393,6 @@ type DecisionSummary struct {
 	Pruned         int64
 	NodesToBest    int64
 	BudgetHit      bool
-	WarmSeeded     bool
-	SeedHeld       bool
 	Parallel       bool
 	BestFound      bool
 	BestCost       Cost
@@ -497,19 +446,8 @@ type searchState struct {
 	// equivalent sequential run the iteration-0 schedule already exists.
 	hardBudget bool
 
-	// Warm seed: the carried ordering's cost, installed before the
-	// search runs. The seed is never committable — it only initializes
-	// the nodes-to-best incumbent and, with prune on, tightens the
-	// branch-and-bound bound once an enumerated schedule exists.
-	seedCost Cost
-	seedSet  bool
-
-	// Nodes-to-best incumbent: strictly tighter than bestCost when the
-	// warm seed is better than anything enumerated. nodesToBest is the
-	// node counter at the incumbent's last improvement (0 when the seed
-	// was never beaten).
-	ntbCost     Cost
-	ntbSet      bool
+	// nodesToBest is the node counter at the incumbent's last
+	// improvement.
 	nodesToBest int64
 	// recordImprov makes leaf() log every incumbent improvement
 	// (parallel workers only; the merge threads the global incumbent
@@ -584,8 +522,6 @@ func (s *searchState) resetSearch() {
 	s.bestFound = false
 	s.aborted = false
 	s.curCost = Cost{}
-	s.seedSet = false
-	s.ntbSet = false
 	s.nodesToBest = 0
 	s.recordImprov = false
 	s.improv = s.improv[:0]
@@ -784,11 +720,9 @@ func (s *searchState) visit(oi int, down func()) bool {
 	s.curPath = append(s.curPath, oi)
 
 	// Branch and bound: per-job costs are non-negative, so the partial
-	// cost lower-bounds every completion of this path. Once an
-	// enumerated schedule exists, a better warm seed tightens the bound
-	// further (the first leaf is exempt so a complete schedule can
-	// always be committed).
-	if s.prune && s.bestFound && !s.curCost.Less(s.pruneBound()) {
+	// cost lower-bounds every completion of this path (the first leaf is
+	// exempt so a complete schedule can always be committed).
+	if s.prune && s.bestFound && !s.curCost.Less(s.bestCost) {
 		s.pruned++
 	} else {
 		down()
@@ -804,15 +738,6 @@ func (s *searchState) visit(oi int, down func()) bool {
 	return !s.aborted
 }
 
-// pruneBound is the branch-and-bound cutoff: the best enumerated cost,
-// tightened by the warm seed when the seed is better.
-func (s *searchState) pruneBound() Cost {
-	if s.seedSet && s.seedCost.Less(s.bestCost) {
-		return s.seedCost
-	}
-	return s.bestCost
-}
-
 // leaf records the completed schedule if it beats the best so far.
 func (s *searchState) leaf() {
 	s.leaves++
@@ -826,12 +751,6 @@ func (s *searchState) leaf() {
 		copy(s.bestStartNow, s.curStartNow)
 		copy(s.bestStart, s.curStart)
 		s.bestPath = append(s.bestPath[:0], s.curPath...)
-	}
-	// Nodes-to-best incumbent: includes the warm seed, so it only moves
-	// when a leaf beats everything seen — including the carried plan.
-	if !s.ntbSet || s.curCost.Less(s.ntbCost) {
-		s.ntbCost = s.curCost
-		s.ntbSet = true
 		s.nodesToBest = s.nodes
 		if s.recordImprov {
 			s.improv = append(s.improv, improvement{cost: s.curCost, nodes: s.nodes})

@@ -31,17 +31,10 @@ type Counters struct {
 	// milliseconds (always wall time, even on a virtual clock).
 	AvgDecideMs float64 `json:"avg_decide_ms"`
 	MaxDecideMs float64 `json:"max_decide_ms"`
-	// Warm-start / adaptive-budget stats, emitted only when the search
-	// policy runs with WarmStart or an SLO budget (cold fixed-budget runs
-	// keep their serialized form unchanged). SearchNodesToBest is the
-	// cumulative node count at each decision's last incumbent
-	// improvement; WarmDecisions/WarmSeedHeld count seeded decisions and
-	// those where no enumerated schedule beat the carried seed;
-	// SearchEffLimit is the mean effective node budget per decision.
-	SearchNodesToBest int64   `json:"search_nodes_to_best,omitempty"`
-	WarmDecisions     int64   `json:"warm_decisions,omitempty"`
-	WarmSeedHeld      int64   `json:"warm_seed_held,omitempty"`
-	SearchEffLimit    float64 `json:"search_eff_limit,omitempty"`
+	// SearchEffLimit is the mean effective node budget per decision,
+	// emitted only when the search policy runs with an SLO budget (fixed
+	// budget runs keep their serialized form unchanged).
+	SearchEffLimit float64 `json:"search_eff_limit,omitempty"`
 	// JournalTail is the in-memory event-tail length since the last
 	// compaction; Compactions counts journal compactions. When a
 	// persistent sink reports stats, JournalAppends and JournalSyncs
@@ -160,8 +153,8 @@ func (e *Engine) countersLocked() Counters {
 }
 
 // fillSearch copies a search policy's effort stats into the counters.
-// The warm/SLO fields are populated only when those modes are active so
-// cold fixed-budget runs serialize exactly as before.
+// The SLO field is populated only when that mode is active so
+// fixed-budget runs serialize exactly as before.
 func (c *Counters) fillSearch(sch *core.Scheduler) {
 	st := sch.SearchStats
 	c.SearchNodes = st.Nodes
@@ -169,11 +162,6 @@ func (c *Counters) fillSearch(sch *core.Scheduler) {
 	c.BudgetHits = int64(st.BudgetHits)
 	c.SearchWallMs = float64(st.WallNs) / 1e6
 	c.SearchSpeedup = st.Speedup()
-	if sch.WarmStart {
-		c.SearchNodesToBest = st.NodesToBest
-		c.WarmDecisions = int64(st.WarmDecisions)
-		c.WarmSeedHeld = int64(st.WarmSeedHeld)
-	}
 	if sch.SLO > 0 && st.Decisions > 0 {
 		c.SearchEffLimit = float64(st.EffectiveLimitSum) / float64(st.Decisions)
 	}

@@ -58,8 +58,6 @@ func (e *Engine) observeDecision(now job.Time, queueDepth int, wall time.Duratio
 			rec.Pruned = sum.Pruned
 			rec.NodesToBest = sum.NodesToBest
 			rec.BudgetHit = sum.BudgetHit
-			rec.WarmSeeded = sum.WarmSeeded
-			rec.SeedHeld = sum.SeedHeld
 			rec.Parallel = sum.Parallel
 			if sum.BestFound {
 				rec.BestExcess = sum.BestCost[0]

@@ -77,9 +77,7 @@ func replayInstrumented(t *testing.T, in sim.Input, pol sim.Policy,
 // paths as data-race free.
 func TestObservabilityInert(t *testing.T) {
 	newPolicy := func() sim.Policy {
-		sch := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
-		sch.WarmStart = true
-		return sch
+		return core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
 	}
 	runObsInert(t, workload.MonthLabels(), newPolicy, "DDS/lxf/dynB", false)
 }
@@ -93,7 +91,7 @@ func TestObservabilityInertMeta(t *testing.T) {
 		m, err := metasched.New([]sim.Policy{
 			core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64),
 			core.New(core.LDS, core.HeuristicFCFS, core.DynamicBound(), 64),
-		}, metasched.Config{Seed: 5})
+		}, metasched.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"schedsearch/internal/job"
+	"schedsearch/internal/obs"
 )
 
 // fakeBackend is a scriptable Backend: Submit assigns sequential IDs,
@@ -391,7 +392,7 @@ func TestQuotasClamping(t *testing.T) {
 }
 
 func TestHistQuantilesAndBuckets(t *testing.T) {
-	var h Hist
+	var h obs.Hist
 	if s := h.Snapshot(); s.Count != 0 || s.P99Us != 0 {
 		t.Fatalf("zero hist snapshot %+v", s)
 	}

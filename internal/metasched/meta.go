@@ -3,8 +3,8 @@
 // committed at every decision point and every other arm shadow-
 // simulated on the same snapshot under a bounded node budget. The
 // shadow plans are scored on the uniform objective (core.PlanScorer),
-// the per-round losses feed a seeded bandit (greedy follow-the-leader,
-// UCB or EXP3), and the bandit's pick becomes the next incumbent —
+// the per-round losses feed a greedy follow-the-leader bandit, and the
+// bandit's pick becomes the next incumbent —
 // switching policies at decision-point granularity, which no fixed
 // ParsePolicy string can do (the paper's own tables show no single
 // policy wins every month).
@@ -12,9 +12,8 @@
 // Determinism: shadow evaluation is passive (each arm is an
 // independent policy instance deciding the same read-only snapshot;
 // scoring runs on a private profile), loss normalization is pure
-// arithmetic, and the only sampling bandit (EXP3) draws from a
-// dedicated RNG substream keyed by Config.Seed — so the full choice
-// sequence and regret series replay bit-identically. Wall-clock is
+// arithmetic, and the bandit draws no random numbers — so the full
+// choice sequence and regret series replay bit-identically. Wall-clock is
 // measured for Stats only and never influences a decision; for that
 // same reason member schedulers must not run with an SLO budget (see
 // SetSearchOptions).
@@ -37,14 +36,10 @@ import (
 // rank arms, not to perfect their plans.
 const DefaultShadowLimit = 200
 
-// Config tunes the meta-scheduler. The zero value is usable: greedy
-// bandit, default shadow budget, seed 0.
+// Config tunes the meta-scheduler. The zero value is usable: default
+// discount, hysteresis and shadow budget. Two metas with equal configs,
+// portfolios and inputs replay identically.
 type Config struct {
-	// Seed keys the bandit's RNG substream (EXP3 sampling). Two metas
-	// with equal seeds, portfolios and inputs replay identically.
-	Seed uint64
-	// Kind selects the bandit (default Greedy).
-	Kind BanditKind
 	// ShadowLimit caps the node budget of each non-incumbent search
 	// arm's evaluation; 0 means DefaultShadowLimit, negative means
 	// full budget (shadows as expensive as the incumbent).
@@ -52,10 +47,6 @@ type Config struct {
 	// Gamma discounts past losses (default 0.98) so the portfolio
 	// tracks workload regime changes within a month.
 	Gamma float64
-	// Explore is UCB's exploration coefficient (default 0.5).
-	Explore float64
-	// Eta is EXP3's learning rate (default 0.1).
-	Eta float64
 	// StickyMargin is the greedy bandit's switch hysteresis: the
 	// portfolio switches arms only when the best arm's discounted mean
 	// loss undercuts the incumbent's by this relative margin (default
@@ -78,20 +69,6 @@ func (c Config) gamma() float64 {
 		return 0.98
 	}
 	return c.Gamma
-}
-
-func (c Config) explore() float64 {
-	if c.Explore <= 0 {
-		return 0.5
-	}
-	return c.Explore
-}
-
-func (c Config) eta() float64 {
-	if c.Eta <= 0 || c.Eta >= 1 {
-		return 0.1
-	}
-	return c.Eta
 }
 
 func (c Config) stickyMargin() float64 {
@@ -168,7 +145,7 @@ type Meta struct {
 	cfg     Config
 	members []sim.Policy
 	name    string
-	bandit  bandit
+	bandit  *greedyBandit
 	scorer  *core.PlanScorer
 
 	prevArm   int
@@ -185,7 +162,7 @@ type Meta struct {
 
 // New builds a meta-scheduler over the given member policies (at least
 // one). Members must be distinct policy instances — each arm carries
-// its own warm/search state.
+// its own search scratch.
 func New(members []sim.Policy, cfg Config) (*Meta, error) {
 	if len(members) == 0 {
 		return nil, errEmptyPortfolio
@@ -198,7 +175,7 @@ func New(members []sim.Policy, cfg Config) (*Meta, error) {
 		cfg:     cfg,
 		members: members,
 		name:    "meta(" + strings.Join(names, ",") + ")",
-		bandit:  newBandit(cfg.Kind, len(members), cfg),
+		bandit:  newGreedyBandit(len(members), cfg),
 		scorer:  &core.PlanScorer{Bound: core.DynamicBound(), ExcessWeight: cfg.ExcessWeight},
 		plans:   make([][]int, len(members)),
 		scores:  make([]float64, len(members)),
@@ -217,17 +194,16 @@ func (m *Meta) Name() string { return m.name }
 // mid-run).
 func (m *Meta) Members() []sim.Policy { return m.members }
 
-// SetSearchOptions applies the per-process search tuning (worker count,
-// warm start) to every member that is a search scheduler — the same
-// knobs cmd/schedsim and cmd/schedd apply to a bare *core.Scheduler.
+// SetSearchOptions applies the per-process search tuning (worker count)
+// to every member that is a search scheduler — the same knob
+// cmd/schedsim and cmd/schedd apply to a bare *core.Scheduler.
 // SLO budgets are deliberately NOT propagated: an SLO adapts node
 // budgets from wall-clock pace, which would make shadow plans — and
 // therefore bandit choices — machine-dependent.
-func (m *Meta) SetSearchOptions(workers int, warmStart bool) {
+func (m *Meta) SetSearchOptions(workers int) {
 	for _, p := range m.members {
 		if sch, ok := p.(*core.Scheduler); ok {
 			sch.Workers = workers
-			sch.WarmStart = warmStart
 		}
 	}
 }
@@ -303,8 +279,7 @@ func (m *Meta) Decide(snap *sim.Snapshot) []int {
 	// decisions by how much they actually matter, instead of min-max
 	// stretching every round to the full scale (which punishes losing a
 	// coin-flip round as hard as losing a landslide and drives spurious
-	// switches). EXP3 needs the [0, 1] bound; greedy and UCB inherit the
-	// regret-proportional weighting.
+	// switches).
 	minS := m.scores[0]
 	for _, s := range m.scores[1:] {
 		if s < minS {
@@ -322,7 +297,7 @@ func (m *Meta) Decide(snap *sim.Snapshot) []int {
 		}
 		m.losses[i] = l
 	}
-	m.bandit.observe(m.losses, chosen)
+	m.bandit.observe(m.losses)
 	m.stats.CumRegret += m.scores[chosen] - minS
 	m.commitRecord(snap, chosen, m.scores)
 	m.last.Regret = m.scores[chosen] - minS

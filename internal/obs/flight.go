@@ -35,10 +35,6 @@ type DecisionRecord struct {
 	NodesToBest int64 `json:"nodes_to_best,omitempty"`
 	// BudgetHit marks a search cut off by its node budget.
 	BudgetHit bool `json:"budget_hit,omitempty"`
-	// WarmSeeded marks a decision seeded from the previous best plan;
-	// SeedHeld that the seed survived as the final incumbent.
-	WarmSeeded bool `json:"warm_seeded,omitempty"`
-	SeedHeld   bool `json:"seed_held,omitempty"`
 	// Parallel marks a multi-worker search.
 	Parallel bool `json:"parallel,omitempty"`
 	// BestExcess/BestSlowdown are the committed plan's objective

@@ -89,15 +89,14 @@ func generateMonth(spec MonthSpec, cfg Config, monthIdx int, start job.Time, dur
 func synthesizeRange(spec MonthSpec, cfg Config, monthIdx, r, cnt int, dur job.Duration,
 	nodesRNG, runRNG, reqRNG *stats.RNG) []job.Job {
 
+	// Clamp the Table 3 range to the machine: on a machine narrower
+	// than the range's lower end, its jobs take the whole machine.
 	nr := job.Table3NodeRanges[r]
-	hi := nr.Hi
-	if hi > cfg.Capacity {
-		hi = cfg.Capacity
-	}
+	lo, hi := min(nr.Lo, cfg.Capacity), min(nr.Hi, cfg.Capacity)
 	out := make([]job.Job, cnt)
 	var sumNodes int64
 	for i := range out {
-		n := sampleNodes(nr.Lo, hi, nodesRNG)
+		n := sampleNodes(lo, hi, nodesRNG)
 		out[i].Nodes = n
 		sumNodes += int64(n)
 	}

@@ -332,3 +332,25 @@ func TestPieceBoundsPartitionRuntimes(t *testing.T) {
 		}
 	}
 }
+
+// TestNarrowMachineJobsFit: on a machine narrower than a Table 3 node
+// range's lower end (65-128 on 64 nodes, 33-64 and 65-128 on 48), the
+// range is clamped to the machine, so generation neither panics nor
+// emits a job wider than the machine.
+func TestNarrowMachineJobsFit(t *testing.T) {
+	for _, capacity := range []int{64, 48} {
+		suite := NewSuite(Config{Seed: 1, JobScale: 0.05, Capacity: capacity})
+		widest := 0
+		for _, m := range suite.months {
+			for _, j := range m.Jobs {
+				if err := j.Validate(capacity); err != nil {
+					t.Fatalf("capacity %d, %s: %v", capacity, m.Spec.Label, err)
+				}
+				widest = max(widest, j.Nodes)
+			}
+		}
+		if widest != capacity {
+			t.Errorf("capacity %d: widest job %d nodes, want whole-machine jobs", capacity, widest)
+		}
+	}
+}

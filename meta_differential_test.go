@@ -49,13 +49,11 @@ func TestMetaSingletonSuiteDifferential(t *testing.T) {
 		month := month
 		t.Run(month, func(t *testing.T) {
 			bare := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 24)
-			bare.WarmStart = true
 			inner := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 24)
-			meta, err := metasched.New([]sim.Policy{inner}, metasched.Config{Seed: 1})
+			meta, err := metasched.New([]sim.Policy{inner}, metasched.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			meta.SetSearchOptions(0, true) // mirror the bare twin's warm start
 			if meta.Name() != "meta(DDS/lxf/dynB)" {
 				t.Fatalf("singleton name %q", meta.Name())
 			}

@@ -162,9 +162,9 @@ func TestParsePolicyMeta(t *testing.T) {
 		}
 	}
 
-	// ParsePolicyMeta threads a custom bandit config into the portfolio.
+	// ParsePolicyMeta threads a bandit config into the portfolio.
 	polC, err := schedsearch.ParsePolicyMeta("meta(DDS/lxf/dynB,FCFS-backfill)", 100,
-		schedsearch.MetaConfig{Seed: 9, Kind: schedsearch.EXP3BanditKind})
+		schedsearch.MetaConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,19 +219,12 @@ func ExcessiveWait(res *Result, thresholdH float64) Excess {
 
 // MetaScheduler is the online policy-portfolio meta-scheduler: it
 // shadow-simulates every portfolio member at each decision point and
-// lets a seeded bandit commit one (see internal/metasched).
+// lets a greedy bandit commit one (see internal/metasched).
 type MetaScheduler = metasched.Meta
 
-// MetaConfig tunes the meta-scheduler's bandit, seed and shadow
-// budget.
+// MetaConfig tunes the meta-scheduler's bandit discount, switch
+// hysteresis and shadow budget.
 type MetaConfig = metasched.Config
-
-// Bandit kinds for MetaConfig.Kind.
-const (
-	GreedyBanditKind = metasched.Greedy
-	UCBBanditKind    = metasched.UCB
-	EXP3BanditKind   = metasched.EXP3
-)
 
 // NewMetaScheduler builds a policy-portfolio meta-scheduler over
 // distinct member policy instances.
