@@ -678,10 +678,20 @@ func serve(mkPolicy func(int) sim.Policy, addr string, capacity int, requested b
 		return err
 	}
 	httpSrv := &http.Server{}
-	httpSrv.Handler = server.New(bk, func() {
-		// Drained: stop accepting connections and let main return.
-		_ = httpSrv.Shutdown(context.Background())
-	}, opts...)
+	// Serve returns as soon as Shutdown closes the listener, but Shutdown
+	// itself returns only once in-flight responses (the POST /v1/drain
+	// that triggered it, say) are written. serve waits on shutdownDone
+	// before tearing down, so the process never exits mid-response.
+	shutdownDone := make(chan struct{})
+	var shutdownOnce sync.Once
+	shutdown := func() {
+		shutdownOnce.Do(func() {
+			_ = httpSrv.Shutdown(context.Background())
+			close(shutdownDone)
+		})
+	}
+	// Drained: stop accepting connections and let main return.
+	httpSrv.Handler = server.New(bk, shutdown, opts...)
 
 	// SIGINT/SIGTERM drain like POST /v1/drain does: accepted batches
 	// commit first, then admission stops and the machine empties.
@@ -693,7 +703,7 @@ func serve(mkPolicy func(int) sim.Policy, addr string, capacity int, requested b
 			q.Flush()
 		}
 		_ = bk.Drain(context.Background())
-		_ = httpSrv.Shutdown(context.Background())
+		shutdown()
 	}()
 
 	// The test harness and shell scripts parse this line for the port.
@@ -711,6 +721,7 @@ func serve(mkPolicy func(int) sim.Policy, addr string, capacity int, requested b
 	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		return err
 	}
+	<-shutdownDone
 	if q != nil {
 		q.Close()
 	}

@@ -48,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -254,13 +255,34 @@ func parseInts(csv string) ([]int, error) {
 	return out, nil
 }
 
-// measurePair measures one configuration sequentially and in parallel.
+// pairRounds is the number of interleaved timing rounds per
+// configuration. Each round times both schedulers, alternating which
+// goes first, so host speed drift lands on both sides alike instead of
+// in the speedup.
+const pairRounds = 10
+
+// measurePair measures one configuration sequentially and in parallel
+// over pairRounds interleaved rounds of minTime/pairRounds per side. The
+// per-decision times are means over all rounds; the speedup is the
+// median of the per-round ratios.
 func measurePair(algo core.Algorithm, snap *sim.Snapshot, depth, limit, workers int, minTime time.Duration) benchResult {
 	seq := core.New(algo, core.HeuristicLXF, core.DynamicBound(), limit)
-	seqNs, nodes := measure(seq, snap, minTime)
 	par := core.New(algo, core.HeuristicLXF, core.DynamicBound(), limit)
 	par.Workers = workers
-	parNs, parNodes := measure(par, snap, minTime)
+	var seqT, parT timing
+	ratios := make([]float64, 0, pairRounds)
+	for r := 0; r < pairRounds; r++ {
+		var seqNs, parNs float64
+		if r%2 == 0 {
+			seqNs = seqT.round(seq, snap, minTime/pairRounds)
+			parNs = parT.round(par, snap, minTime/pairRounds)
+		} else {
+			parNs = parT.round(par, snap, minTime/pairRounds)
+			seqNs = seqT.round(seq, snap, minTime/pairRounds)
+		}
+		ratios = append(ratios, seqNs/parNs)
+	}
+	nodes, parNodes := seqT.nodes/seqT.reps, parT.nodes/parT.reps
 	if nodes != parNodes {
 		fatal(fmt.Errorf("%s depth=%d L=%d: parallel explored %d nodes/decision, sequential %d",
 			algo, depth, limit, parNodes, nodes))
@@ -270,34 +292,50 @@ func measurePair(algo core.Algorithm, snap *sim.Snapshot, depth, limit, workers 
 		QueueDepth:       depth,
 		NodeLimit:        limit,
 		NodesPerDecision: nodes,
-		SeqNsPerDecision: seqNs,
-		ParNsPerDecision: parNs,
+		SeqNsPerDecision: seqT.ns / seqT.reps,
+		ParNsPerDecision: parT.ns / parT.reps,
+		SpeedupVsSeq:     median(ratios),
 	}
-	if seqNs > 0 {
-		r.SeqNodesPerSec = float64(nodes) / float64(seqNs) * 1e9
-	}
-	if parNs > 0 {
-		r.ParNodesPerSec = float64(nodes) / float64(parNs) * 1e9
-		r.SpeedupVsSeq = float64(seqNs) / float64(parNs)
-	}
+	r.SeqNodesPerSec = float64(seqT.nodes) / float64(seqT.ns) * 1e9
+	r.ParNodesPerSec = float64(parT.nodes) / float64(parT.ns) * 1e9
 	return r
 }
 
-// measure runs Decide repeatedly for at least minTime (and at least
-// three repetitions after one warm-up), returning wall ns/decision and
-// nodes visited per decision.
-func measure(sch *core.Scheduler, snap *sim.Snapshot, minTime time.Duration) (nsPerDecision, nodesPerDecision int64) {
-	sch.Decide(snap) // warm-up: allocate scratch, fault in the tree
-	startStats := sch.SearchStats
-	reps := 0
+// timing accumulates one scheduler's timing rounds.
+type timing struct {
+	ns, reps, nodes int64
+}
+
+// round runs Decide repeatedly for at least d (and at least once, after
+// a warm-up decision on the first round that allocates scratch and
+// faults in the tree), adds the round to t and returns its wall
+// ns/decision.
+func (t *timing) round(sch *core.Scheduler, snap *sim.Snapshot, d time.Duration) float64 {
+	if t.reps == 0 {
+		sch.Decide(snap)
+	}
+	startNodes := sch.SearchStats.Nodes
+	reps := int64(0)
 	t0 := time.Now()
-	for time.Since(t0) < minTime || reps < 3 {
+	for reps == 0 || time.Since(t0) < d {
 		sch.Decide(snap)
 		reps++
 	}
 	elapsed := time.Since(t0).Nanoseconds()
-	nodes := sch.SearchStats.Nodes - startStats.Nodes
-	return elapsed / int64(reps), nodes / int64(reps)
+	t.ns += elapsed
+	t.reps += reps
+	t.nodes += sch.SearchStats.Nodes - startNodes
+	return float64(elapsed) / float64(reps)
+}
+
+// median returns the median of xs, reordering xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[m-1] + xs[m]) / 2
+	}
+	return xs[m]
 }
 
 // benchSnapshot builds the deterministic contended decision point: a

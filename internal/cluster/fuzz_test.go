@@ -8,7 +8,10 @@ import (
 // FuzzProfileOps drives the profile with an op sequence decoded from
 // fuzz bytes and checks invariants after every operation, cross-checking
 // FreeAt against a brute-force reference and the fused PlaceEarliest
-// against both the reference and EarliestFit followed by Place.
+// against both the reference and EarliestFit followed by Place. A copy
+// op copies the profile into a reused scratch profile and places on the
+// copy; from then on source and copy must each match their own Clone
+// oracle, whichever of them the later ops mutate.
 func FuzzProfileOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 0})
@@ -16,11 +19,16 @@ func FuzzProfileOps(f *testing.F) {
 	// Fits from the origin, one second past it and further on, fused
 	// and split, over earlier placements.
 	f.Add([]byte{0, 0, 48, 1, 3, 7, 40, 200, 3, 15, 59, 20, 0, 3, 10, 35, 3, 9, 30, 130, 1, 0, 0, 0, 3, 4, 5, 60})
+	// Copies taken over placements, placed on, then outlived by source
+	// mutations and undos, and recopied into the grown scratch storage.
+	f.Add([]byte{0, 5, 30, 10, 0, 3, 12, 0, 4, 7, 20, 5, 0, 2, 50, 0, 1, 0, 0, 0, 4, 15, 9, 40, 4, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity = 16
 		const horizon = 256
 		p := New(capacity, 0)
 		ref := newNaive(capacity, 0, horizon)
+		var cp Profile             // scratch copy, its storage reused by every copy op
+		cpWant := New(capacity, 0) // Clone oracle of cp
 		type placed struct {
 			pl    Placement
 			t     Time
@@ -29,7 +37,7 @@ func FuzzProfileOps(f *testing.F) {
 		}
 		var stack []placed
 		for i := 0; i+3 < len(data); i += 4 {
-			op := data[i] % 4
+			op := data[i] % 5
 			nodes := int(data[i+1])%capacity + 1
 			d := Duration(data[i+2])%60 + 1
 			after := Time(data[i+3]) % (horizon / 2)
@@ -87,8 +95,36 @@ func FuzzProfileOps(f *testing.F) {
 				}
 				_, pl = p.PlaceEarliest(after, nodes, d)
 				stack = append(stack, placed{pl: pl, t: got, nodes: nodes, d: d})
+			case 4: // copy, then place on the copy only
+				source := p.Clone()
+				cp.CopyFrom(p)
+				cpWant = p.Clone()
+				if cp.capacity != capacity || !slices.Equal(cp.steps, cpWant.steps) {
+					t.Fatalf("CopyFrom left %d %v, Clone %d %v", cp.capacity, cp.steps, capacity, cpWant.steps)
+				}
+				at := cp.EarliestFit(after, nodes, d)
+				if int(at)+int(d) >= horizon {
+					continue
+				}
+				cp.Place(at, nodes, d)
+				cpWant.Place(at, nodes, d)
+				if !slices.Equal(p.steps, source.steps) {
+					t.Fatalf("placing on the copy changed the source to %v, want %v", p.steps, source.steps)
+				}
 			}
 			if err := p.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := cpWant.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if cp.steps == nil {
+				continue // no copy taken yet
+			}
+			if !slices.Equal(cp.steps, cpWant.steps) {
+				t.Fatalf("copy is %v after op %d, want %v", cp.steps, op, cpWant.steps)
+			}
+			if err := cp.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
 		}

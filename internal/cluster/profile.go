@@ -3,7 +3,8 @@
 // capacity as a step function of time — supporting earliest-fit queries
 // and undoable placements. The profile is the inner-loop data structure
 // of both the backfill policies and the search-based scheduler: a search
-// visiting 100K tree nodes performs one Place and one Undo per node.
+// visiting 100K tree nodes performs one fit per node, and one Place and
+// one Undo per node that branches.
 package cluster
 
 import "fmt"
@@ -73,9 +74,17 @@ func (p *Profile) Len() int { return len(p.steps) }
 
 // Clone returns an independent copy of the profile.
 func (p *Profile) Clone() *Profile {
-	c := &Profile{capacity: p.capacity, steps: make([]step, len(p.steps))}
-	copy(c.steps, p.steps)
+	c := new(Profile)
+	c.CopyFrom(p)
 	return c
+}
+
+// CopyFrom makes p an independent copy of src, reusing p's step storage.
+// Like Reset, it makes the zero Profile usable; a scratch profile that
+// is copied into once per use allocates only while its storage grows.
+func (p *Profile) CopyFrom(src *Profile) {
+	p.capacity = src.capacity
+	p.steps = append(p.steps[:0], src.steps...)
 }
 
 // find returns the index of the step covering time t: the greatest i

@@ -24,13 +24,11 @@ package core
 // addsDFS explores iteration iter of ADDS from the given level: like
 // ddsDFS but with branching restricted to ranks {0, 1} everywhere.
 func (s *searchState) addsDFS(level, iter int) {
-	n := len(s.ordered)
-	if level == n {
-		s.leaf()
+	if level >= iter {
+		s.tail(level)
 		return
 	}
-	heuristicOnly := iter == 0 || level > iter-1
-	forced := iter > 0 && level == iter-1
+	forced := level == iter-1
 	b := 0
 	for oi := s.freeHead; oi >= 0; oi = s.freeNext[oi] {
 		if forced && b == 0 {
@@ -41,7 +39,7 @@ func (s *searchState) addsDFS(level, iter int) {
 		if !s.visit(oi, func() { s.addsDFS(level+1, iter) }) {
 			return
 		}
-		if heuristicOnly || b >= 2 {
+		if b >= 2 {
 			break
 		}
 	}
@@ -129,8 +127,8 @@ func (s *searchState) climbToBest() {
 	s.memoRecord = false
 }
 
-// addsIterNodes returns the number of visit() calls ADDS iteration i
-// performs on an n-job tree (saturating at satCap): levels above the
+// addsIterNodes returns the number of nodes ADDS iteration i visits
+// on an n-job tree (saturating at satCap): levels above the
 // forced depth branch two ways, the forced level takes exactly the
 // adjacent branch, and each of the 2^(i-1) surviving paths runs
 // heuristically to depth n. Iteration 0 is the heuristic path.

@@ -88,7 +88,7 @@ type shardScratch struct {
 	e []int64 // elementary symmetric polynomial DP row (LDS)
 }
 
-// ldsIterNodes returns the number of visit() calls exact-k LDS performs
+// ldsIterNodes returns the number of nodes exact-k LDS visits
 // on an n-job tree (saturating at satCap). A node at depth d whose path
 // carries j discrepancies is visited iff j <= k and the remaining k-j
 // discrepancies fit below: k-j <= max(0, n-1-d). The number of depth-d
@@ -132,8 +132,8 @@ func (sc *shardScratch) ldsIterNodes(n, k int) int64 {
 	return total
 }
 
-// ddsIterNodes returns the number of visit() calls DDS iteration i
-// performs on an n-job tree (saturating at satCap): free branching
+// ddsIterNodes returns the number of nodes DDS iteration i visits
+// on an n-job tree (saturating at satCap): free branching
 // above the forced depth contributes P(n,d) nodes at depth d < i, the
 // forced discrepancy multiplies in n-i, and each resulting path runs
 // heuristically to depth n.

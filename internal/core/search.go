@@ -416,7 +416,10 @@ type searchState struct {
 	nodes  int64
 	leaves int64
 
-	prof      *cluster.Profile
+	prof *cluster.Profile
+	// scratch is the profile a heuristic-only path suffix places on (see
+	// tail): copied from prof once per suffix and dropped at its end.
+	scratch   cluster.Profile
 	ordered   []sim.WaitingJob // heuristic branch order
 	orderKeys []float64        // scratch: precomputed heuristic sort keys
 
@@ -678,13 +681,17 @@ func (s *searchState) relink(oi int) {
 	}
 }
 
-// visit places the job at ordered index oi (which must be on the free
-// list), recurses via down, and undoes the placement. It returns false
-// when the search aborted on budget.
-func (s *searchState) visit(oi int, down func()) bool {
+// enter makes the search-tree node that appends ordered index oi (which
+// must be on the free list) to the current path, fitting the job on
+// prof: it checks the budget, takes the start from the placement memo or
+// the earliest fit (placing the job on prof when place is set), and adds
+// the job's cost, start and path entry. It returns false, changing
+// nothing but aborted, when the budget is spent. visit and tail undo
+// what it records.
+func (s *searchState) enter(prof *cluster.Profile, oi int, place bool) (cluster.Placement, bool) {
 	if s.overBudget() {
 		s.aborted = true
-		return false
+		return cluster.Placement{}, false
 	}
 	s.nodes++
 
@@ -696,46 +703,101 @@ func (s *searchState) visit(oi int, down func()) bool {
 	level := len(s.curPath)
 	var start job.Time
 	var pl cluster.Placement
-	memoHit := s.memoMatched == level && level < len(s.memoPath) && s.memoPath[level] == oi
-	if memoHit {
+	if s.memoMatched == level && level < len(s.memoPath) && s.memoPath[level] == oi {
 		// The path so far equals the memoized reference prefix, so the
 		// profile is in the exact state it was when the reference path
 		// placed this job: its earliest fit is already known.
 		start = s.memoStart[level]
-		pl = s.prof.Place(start, w.Job.Nodes, est)
+		if place {
+			pl = prof.Place(start, w.Job.Nodes, est)
+		}
 		s.memoMatched = level + 1
 	} else {
-		start, pl = s.prof.PlaceEarliest(s.now, w.Job.Nodes, est)
+		if place {
+			start, pl = prof.PlaceEarliest(s.now, w.Job.Nodes, est)
+		} else {
+			start = prof.EarliestFit(s.now, w.Job.Nodes, est)
+		}
 		if s.memoRecord {
 			s.memoPath = append(s.memoPath, oi)
 			s.memoStart = append(s.memoStart, start)
 		}
 	}
-	delta := s.cost(w, start, s.now, s.bound)
-	prevCost := s.curCost
-	s.curCost = s.curCost.Add(delta)
+	s.curCost = s.curCost.Add(s.cost(w, start, s.now, s.bound))
 	s.unlink(oi)
 	s.curStartNow[oi] = start == s.now
 	s.curStart[oi] = start
 	s.curPath = append(s.curPath, oi)
+	return pl, true
+}
 
-	// Branch and bound: per-job costs are non-negative, so the partial
-	// cost lower-bounds every completion of this path (the first leaf is
-	// exempt so a complete schedule can always be committed).
+// cut reports whether branch and bound prunes the subtree below the node
+// just entered, counting the cut. Per-job costs are non-negative, so the
+// partial cost lower-bounds every completion of this path (the first
+// leaf is exempt so a complete schedule can always be committed).
+func (s *searchState) cut() bool {
 	if s.prune && s.bestFound && !s.curCost.Less(s.bestCost) {
 		s.pruned++
-	} else {
+		return true
+	}
+	return false
+}
+
+// visit enters the node for ordered index oi on the search profile,
+// recurses via down unless the node is cut, and undoes the node. It
+// returns false when the search aborted on budget.
+func (s *searchState) visit(oi int, down func()) bool {
+	level, prevCost, prevMatched := len(s.curPath), s.curCost, s.memoMatched
+	pl, ok := s.enter(s.prof, oi, true)
+	if !ok {
+		return false
+	}
+	if !s.cut() {
 		down()
 	}
-
-	s.curPath = s.curPath[:len(s.curPath)-1]
-	if memoHit {
-		s.memoMatched = level
-	}
+	s.curPath = s.curPath[:level]
+	s.memoMatched = prevMatched
 	s.relink(oi)
 	s.curCost = prevCost
 	s.prof.Undo(pl)
 	return !s.aborted
+}
+
+// tail walks the heuristic-only path suffix from level to the leaf.
+// Each level has one branch, the first free job, so the suffix is a
+// loop rather than a recursion of visits. It makes the nodes visit
+// would, in the same order, but places on the scratch profile (copied
+// from the search profile before the first placement) instead of placing
+// and undoing on the search profile; the last level only fits. Dropping
+// the copy is exact: the recursion undoes every placement before its
+// parent goes on, so it too leaves the search profile as it found it.
+// The claimed jobs are relinked in LIFO order, and the path, cost and
+// memo position restored, as visit's unwinding would leave them.
+func (s *searchState) tail(level int) {
+	n := len(s.ordered)
+	prevCost, prevMatched := s.curCost, s.memoMatched
+	prof := s.prof
+	complete := true
+	for l := level; l < n; l++ {
+		place := l < n-1
+		if place && prof == s.prof {
+			s.scratch.CopyFrom(s.prof)
+			prof = &s.scratch
+		}
+		if _, ok := s.enter(prof, s.freeHead, place); !ok || s.cut() {
+			complete = false
+			break
+		}
+	}
+	if complete {
+		s.leaf()
+	}
+	for l := len(s.curPath) - 1; l >= level; l-- {
+		s.relink(s.curPath[l])
+	}
+	s.curPath = s.curPath[:level]
+	s.memoMatched = prevMatched
+	s.curCost = prevCost
 }
 
 // leaf records the completed schedule if it beats the best so far.
@@ -774,16 +836,13 @@ func (s *searchState) runLDS() {
 // ldsDFS explores, below the current partial path, all completions that
 // consume exactly rem further discrepancies.
 func (s *searchState) ldsDFS(depth, rem int) {
-	n := len(s.ordered)
-	if depth == n {
-		if rem == 0 {
-			s.leaf()
-		}
+	if rem == 0 {
+		s.tail(depth) // every branch but the heuristic one is a discrepancy
 		return
 	}
 	// Levels strictly below this one that can still host a discrepancy
 	// (a level needs at least two branches).
-	choiceBelow := n - 2 - depth
+	choiceBelow := len(s.ordered) - 2 - depth
 	if choiceBelow < 0 {
 		choiceBelow = 0
 	}
@@ -800,9 +859,6 @@ func (s *searchState) ldsDFS(depth, rem int) {
 			continue
 		}
 		b++
-		if rem == 0 {
-			break // every b > 0 would add a discrepancy
-		}
 		if !s.visit(oi, func() { s.ldsDFS(depth+1, rem-1) }) {
 			return
 		}
@@ -839,16 +895,14 @@ func (s *searchState) runDFS(level int) {
 // chooses the node at tree depth l+1, so iteration iter forces the
 // discrepancy at level iter-1. Iteration 0 is the leftmost path.
 func (s *searchState) ddsDFS(level, iter int) {
-	n := len(s.ordered)
-	if level == n {
-		s.leaf()
-		return
-	}
 	// Heuristic-only below the forced depth (and everywhere in
 	// iteration 0); forced discrepancy exactly at level iter-1; free
 	// branching above it.
-	heuristicOnly := iter == 0 || level > iter-1
-	forced := iter > 0 && level == iter-1
+	if level >= iter {
+		s.tail(level)
+		return
+	}
+	forced := level == iter-1
 	b := 0
 	for oi := s.freeHead; oi >= 0; oi = s.freeNext[oi] {
 		if forced && b == 0 {
@@ -858,9 +912,6 @@ func (s *searchState) ddsDFS(level, iter int) {
 		b++
 		if !s.visit(oi, func() { s.ddsDFS(level+1, iter) }) {
 			return
-		}
-		if heuristicOnly {
-			break
 		}
 	}
 }

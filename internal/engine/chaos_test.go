@@ -169,7 +169,9 @@ func TestDrainShutdownOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var accepted, rejected int64
+	// started counts submissions when they begin, accepted when they
+	// return: a job can already be counted by Metrics inside Submit.
+	var started, accepted, rejected int64
 	var submitWG sync.WaitGroup
 	drainAfter := int64(workers * perW / 2)
 	drainOnce := sync.OnceFunc(func() { go e.Drain(context.Background()) })
@@ -178,6 +180,7 @@ func TestDrainShutdownOrdering(t *testing.T) {
 		go func(g int) {
 			defer submitWG.Done()
 			for k := 0; k < perW; k++ {
+				atomic.AddInt64(&started, 1)
 				_, err := e.Submit(job.Job{
 					Nodes:   1 + (g*5+k)%capacity,
 					Runtime: job.Duration(1 + (g*37+k*11)%120),
@@ -209,9 +212,12 @@ func TestDrainShutdownOrdering(t *testing.T) {
 				return
 			default:
 			}
+			acc := atomic.LoadInt64(&accepted)
 			m := e.Metrics()
-			if got := int64(m.Jobs.Waiting + m.Jobs.Running + m.Jobs.Done); got > atomic.LoadInt64(&accepted) {
-				t.Errorf("metrics count %d jobs, only %d accepted so far", got, atomic.LoadInt64(&accepted))
+			st := atomic.LoadInt64(&started)
+			if got := int64(m.Jobs.Waiting + m.Jobs.Running + m.Jobs.Done); got < acc || got > st {
+				t.Errorf("metrics count %d jobs, want between %d accepted before the scrape and %d submissions started after it",
+					got, acc, st)
 			}
 			e.Queue()
 			e.Machine()
